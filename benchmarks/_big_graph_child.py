@@ -6,7 +6,7 @@ the graph" regime the out-of-core sharded tier exists for), and prints
 a single JSON line with the outcome: wall clock, round counters, a
 checksum of the clustering (so the parent can assert bit-identity
 across backends), the peak virtual footprint (``VmPeak``), and — on
-failure — the error class, which under a cap is how ship-everything
+failure — the error class, which under a cap is how the in-RAM
 backends report that they simply do not fit.
 
 Invoked by ``bench_sharded.py``; not a pytest module.

@@ -21,8 +21,6 @@ Backends:
   *core* path is what a kernel A/B can meaningfully measure.)
 * ``vector``   — single-process batch engine: the counting-sort shuffle
   plus the ungrouped scatter merge replace argsort+lexsort entirely.
-* ``parallel`` — shared-memory pool: workers run the grouped
-  scatter reducer (``np.minimum.reduceat``) instead of the lexsort.
 * ``sharded``  — owner-compute workers merge their resident candidates
   with dense per-shard scatter buffers.
 
@@ -51,7 +49,7 @@ from repro.mr.kernels import KERNEL_ENV
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.growing_mr import default_engine
 
-BACKENDS = ("serial", "vector", "parallel", "sharded")
+BACKENDS = ("serial", "vector", "sharded")
 MODES = ("sort", "scatter")
 #: The native C tier A/Bs the scatter path only (the sort path is the
 #: legacy baseline); rows get a ``-native`` suffix.

@@ -73,13 +73,11 @@ class ClusterConfig:
     executor:
         MR execution backend the ``mrimpl`` drivers build their default
         engine with: ``"serial"`` (paper-literal per-key simulation),
-        ``"vector"`` (vectorized batch shuffle, single process),
-        ``"parallel"`` (shared-memory process pool), ``"mmap"``
-        (spill-file + memory-map process pool), or ``"sharded"``
-        (owner-compute persistent shard workers with boundary-only
-        exchange).  All backends produce identical clusterings; they
-        differ only in wall-clock speed and in which per-round metrics
-        are literal vs simulated (see ``docs/mr_model.md`` and
+        ``"vector"`` (vectorized batch shuffle, single process), or
+        ``"sharded"`` (owner-compute persistent shard workers with
+        boundary-only exchange).  All backends produce identical
+        clusterings; they differ only in wall-clock speed and in which
+        per-round metrics are literal vs simulated (see ``docs/mr_model.md`` and
         ``docs/architecture.md``).  Ignored by the vectorized
         ``repro.core`` path, which does not run an engine at all.
     shards:

@@ -28,8 +28,7 @@ traffic to the worker that hosts the producing group, keeping the
 critical-path time model identical to the per-key path.
 
 Reducers here are module-level functions (or ``functools.partial`` of
-them) so the shared-memory process-pool backend can ship them to workers
-by reference instead of pickling closures.
+them).
 """
 
 from __future__ import annotations

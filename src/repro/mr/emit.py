@@ -76,11 +76,10 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   push would emit, and the dense histogram is maintained incrementally,
   so the accounting stays exact.  Cache replay reorders rows (frozen
   block first), which only an order-free merge may consume — the
-  in-process scatter path and the sharded workers break ties by ``(nd,
-  center, source)``, provably equal to arrival order for deduplicated
-  edges; order-sensitive consumers (the pool backends' grouped
-  reducers) and Contract2 rescaling use the plain push/pull paths, as
-  do the explicit ``push``/``pull`` A/B modes.
+  scatter merge and the sharded workers break ties by ``(nd, center,
+  source)``, provably equal to arrival order for deduplicated edges.
+  Contract2 rescaling uses the plain push/pull paths, as do the
+  explicit ``push``/``pull`` A/B modes.
 
 The legacy pipeline (``emit_frontier`` + ``MREngine.round_batch``) is
 retained verbatim as the ``REPRO_GROWING_KERNEL=sort`` oracle; the
@@ -148,9 +147,7 @@ class EmitBatch:
     **unfiltered** multiset: :attr:`emitted` is the round's ``messages``
     count and :attr:`group_keys` / :attr:`group_counts` the per-target
     histogram that the memory-model checks and the critical-path model
-    consume.  :attr:`order_free` records that rows were produced in an
-    order the arrival tie-break may *not* rely on (cache replay): the
-    consumer must then merge by ``(nd, center, source)``.
+    consume.
     """
 
     __slots__ = (
@@ -164,7 +161,6 @@ class EmitBatch:
         "w",
         "group_keys",
         "group_counts",
-        "order_free",
     )
 
     def __init__(self):
@@ -178,7 +174,6 @@ class EmitBatch:
         self.w = _EMPTY_F8
         self.group_keys = _EMPTY_I8
         self.group_counts = _EMPTY_I8
-        self.order_free = False
 
 
 class _Bank:
@@ -737,7 +732,6 @@ class EmitScratch:
         iteration: int = 0,
         sources: Optional[np.ndarray] = None,
         mode: Optional[str] = None,
-        order_free: bool = True,
         accounting: bool = True,
     ) -> EmitBatch:
         """One round's fused candidate generation (whole-graph layout).
@@ -746,11 +740,9 @@ class EmitScratch:
         followed by the merge-time discard of unadoptable candidates,
         with the counters and histogram of the *unfiltered* emission.
         ``sources`` is the active frontier for non-forced rounds (local
-        ids, ascending); forced rounds scan all nodes.
-        ``order_free=False`` disables the frozen-emission cache so rows
-        keep the push/pull arrival order (grouped, order-sensitive
-        consumers need it); explicit ``push``/``pull`` modes disable it
-        too, so the A/B actually exercises the named direction.
+        ids, ascending); forced rounds scan all nodes.  Explicit
+        ``push``/``pull`` modes disable the frozen-emission cache, so
+        the A/B actually exercises the named direction.
         """
         if self.base:
             raise ValueError("emit() is the whole-graph layout; use emit_raw")
@@ -774,7 +766,7 @@ class EmitScratch:
         m_loc, e_loc, degree_sum = self._forced_sets(
             center, dist, frozen, frozen_iter, delta, rescale, iteration
         )
-        if order_free and rescale == 0.0 and mode == "auto":
+        if rescale == 0.0 and mode == "auto":
             live_loc = m_loc & ~frozen
             live_ids = np.flatnonzero(live_loc)
             live_sum = int(
@@ -1018,7 +1010,6 @@ class EmitScratch:
 
         f_active = len(self._cache_keys)
         batch.emitted = self._cache_inert + f_active + lcnt
-        batch.order_free = True
         if batch.emitted == 0:
             return batch
 

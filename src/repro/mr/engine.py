@@ -268,9 +268,9 @@ class MREngine:
         """Whether the executor runs batch rounds natively.
 
         Drivers use this to pick their data layout: engines whose executor
-        implements ``run_batch`` (``VectorExecutor``,
-        ``SharedMemoryExecutor``) get the array-valued hot path, the
-        others keep the literal per-key pair simulation.  ``round_batch``
+        implements ``run_batch`` (``VectorExecutor``, ``ShardedExecutor``)
+        get the array-valued hot path, the others keep the literal
+        per-key pair simulation.  ``round_batch``
         itself works on every engine — without native support the engine
         applies the batch reducer in-process after the vectorized shuffle.
         """
@@ -296,17 +296,16 @@ class MREngine:
 
         The shuffle adapts to the round.  When the reducer carries an
         ``ungrouped_reduce`` attribute (see
-        :func:`repro.mr.kernels.merge_candidates`), the executor reduces
-        in-process, and the keys are bounded non-negative ids (node ids
-        — pass ``key_bound`` when the domain is known, else the batch's
-        own max decides), the stable ``np.argsort`` is replaced by a
+        :func:`repro.mr.kernels.merge_candidates`) and the keys are
+        bounded non-negative ids (node ids — pass ``key_bound`` when the
+        domain is known, else the batch's own max decides), the stable
+        ``np.argsort`` is replaced by a
         **counting-sort shuffle**: ``np.bincount`` plus a prefix sum
         yields the distinct keys and group sizes in O(pairs + domain)
         and the reducer is handed the *raw* batch plus the engine's
         reusable scatter scratch — the rows are never permuted at all,
         which is what makes growing-step rounds cost O(candidates).
-        Every other round (grouped-layout reducers, pool executors whose
-        workers slice physically grouped shards, unbounded or negative
+        Every other round (grouped-layout reducers, unbounded or negative
         keys) takes the argsort shuffle, which the gather needs anyway.
         Output, counters, memory checks, and the critical-path model are
         identical on every path.
@@ -340,9 +339,6 @@ class MREngine:
         self.check_total_memory(len(keys), words_per_pair)
 
         run_batch = getattr(self.executor, "run_batch", None)
-        in_process = run_batch is None or getattr(
-            self.executor, "in_process_batch", False
-        )
         ungrouped = getattr(reducer, "ungrouped_reduce", None)
 
         shuffle_start = perf_counter()
@@ -350,14 +346,11 @@ class MREngine:
         sorted_values = values
         if len(keys):
             # The counting-sort shuffle only pays off when the gather can
-            # be skipped too, i.e. the reducer consumes ungrouped rows in
-            # this process; grouped-layout reducers (and pool executors,
-            # whose workers slice physically grouped shards) would need
-            # the argsort permutation anyway, so they take it directly.
+            # be skipped too, i.e. the reducer consumes ungrouped rows;
+            # grouped-layout reducers would need the argsort permutation
+            # anyway, so they take it directly.
             bound = (
-                _key_bound(keys, key_bound)
-                if ungrouped is not None and in_process
-                else None
+                _key_bound(keys, key_bound) if ungrouped is not None else None
             )
             if bound is not None:
                 # Counting-sort shuffle: histogram + prefix sum,

@@ -30,9 +30,8 @@ Two layouts are provided, one per execution context:
 
 * :func:`scatter_group_min_first` — a drop-in **batch reducer** (same
   signature and output as ``group_min_first``) that replaces the
-  lexsort with ``np.minimum.reduceat`` passes over the grouped rows.
-  Process-pool workers run this on their shard, so the ``parallel`` and
-  ``mmap`` backends inherit the speedup without any transport change.
+  lexsort with ``np.minimum.reduceat`` passes over the grouped rows,
+  for rounds whose keys take the argsort shuffle.
 * :func:`scatter_min_rows` — the **ungrouped** kernel: candidates stay
   in arrival order and the reduction scatters into dense per-target
   buffers (:class:`ScatterScratch`, preallocated once and reset only on
@@ -62,7 +61,6 @@ __all__ = [
     "scatter_min_rows",
     "scatter_group_min_first",
     "merge_candidates",
-    "merge_candidates_by_source",
     "counting_group_keys",
     "merge_kernel_name",
     "KERNEL_ENV",
@@ -350,39 +348,17 @@ def merge_candidates(keys, offsets, values):
     paper's tie-break — smallest distance, then smallest center, then
     earliest arrival (``sort_cols=2``: ``dacc`` rides along with the
     winner, it never breaks ties).  Drop-in for the legacy
-    ``partial(group_min_first, sort_cols=2)`` reducer; a module-level
-    function so pool workers receive it by reference.
+    ``partial(group_min_first, sort_cols=2)`` reducer.
     """
     return scatter_group_min_first(keys, offsets, values, sort_cols=2)
-
-
-def merge_candidates_by_source(keys, offsets, values):
-    """Order-free growing-step merge over ``(nd, center, source, dacc)`` rows.
-
-    Equivalent to :func:`merge_candidates` whenever a source contributes
-    at most one candidate per target (builders deduplicate edges):
-    within a target group, arrival order ascends with the source id, so
-    "earliest among the ``(nd, center)``-minimal rows" equals "the
-    ``(nd, center, source)``-minimal row".  Making the source an
-    explicit tie-break column frees the *producer* from arrival-order
-    guarantees — the fused emit pipeline's frozen-emission cache replays
-    rows out of arrival order, and pool workers merge them with this
-    reducer.  ``dacc`` rides with the winner; output rows are trimmed
-    back to the ``(nd, center, dacc)`` layout.
-    """
-    out_keys, out_values, out_counts = scatter_group_min_first(
-        keys, offsets, values, sort_cols=3
-    )
-    return out_keys, out_values[:, [0, 1, 3]], out_counts
 
 
 def _merge_candidates_ungrouped(keys, values, group_keys, bound, scratch):
     """Ungrouped fast path of :func:`merge_candidates`.
 
     Invoked by :meth:`repro.mr.engine.MREngine.round_batch` when the
-    counting-sort shuffle applies and the executor reduces in-process:
-    the candidate rows never get permuted — the winners come straight
-    from the dense scatter.  ``group_keys`` (ascending, from the
+    counting-sort shuffle applies: the candidate rows never get
+    permuted — the winners come straight from the dense scatter.  ``group_keys`` (ascending, from the
     counting shuffle) is exactly the id set the scatter returns, so the
     output matches the grouped reducer's bit for bit.
     """

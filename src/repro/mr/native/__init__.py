@@ -13,7 +13,7 @@ no-toolchain CI job uses it to prove the fallback).
 
 Like ``REPRO_GROWING_KERNEL`` and ``REPRO_EMIT_MODE``, the switches are
 read from the environment **per call**, so benchmarks and the parity
-suites flip tiers between runs in one process, and forked pool workers
+suites flip tiers between runs in one process, and forked shard workers
 inherit the active tier through their environment snapshot.
 :func:`impl_overrides` is the config-plumbing entry (used by
 ``repro.runtime.runner``): it applies :class:`ClusterConfig` overrides
@@ -219,7 +219,7 @@ def impl_overrides(
 
     Overrides are applied through the environment (and restored on
     exit) because that is the one channel every consumer shares: the
-    in-process kernels read it per call, and pool/sharded workers
+    in-process kernels read it per call, and sharded workers
     forked *during* the run inherit it in their environment snapshot.
     ``impl="auto"``/``None`` and ``threads=None`` defer to whatever the
     caller's environment already says.
@@ -481,6 +481,23 @@ def _get_pool(workers: int):
             )
             _pool_size = workers
         return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    """Drop the parent's emit pool in a forked child.
+
+    A child inherits the pool object but none of its threads (and
+    possibly a held lock), so submitting to it would wait forever; the
+    child builds its own pool on first use instead.
+    """
+    global _pool, _pool_size, _pool_lock
+    _pool = None
+    _pool_size = 0
+    _pool_lock = Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def _compact(lib, out_keys, out_nd, out_src, out_aidx, bases, counts) -> int:

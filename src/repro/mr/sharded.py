@@ -1,8 +1,8 @@
 """Owner-compute sharded execution: persistent workers, boundary exchange.
 
-The pool backends (``parallel``/``mmap``) re-publish every round's whole
-grouped batch to stateless workers, so per-round cost scales with total
-state even when only a thin frontier changed.  This module inverts that:
+Shipping every round's whole grouped batch to stateless workers would
+make per-round cost scale with total state even when only a thin
+frontier changed.  This module keeps the state with the workers instead:
 
 * the graph is partitioned once — contiguous node ranges or the
   locality-aware lp assignment (:mod:`repro.graph.partition`) — and
@@ -2007,11 +2007,6 @@ class ShardedExecutor:
     #: Marks this executor as building its own growing state
     #: (see :func:`repro.mrimpl.growing_mr.make_growing_state`).
     owns_growing_state = True
-
-    #: Non-growing batch rounds (e.g. the quotient construction) reduce
-    #: in the driver process, so scatter-capable reducers may take the
-    #: engine's ungrouped fast path.
-    in_process_batch = True
 
     def __init__(
         self,

@@ -58,13 +58,12 @@ from repro.mr.engine import MREngine, Pair
 from repro.mr.executor import make_executor
 from repro.mr.kernels import (
     merge_candidates,
-    merge_candidates_by_source,
     merge_kernel_name,
     scatter_min_rows,
 )
 from repro.mr import native as _native
 from repro.mr.model import MRSpec
-from repro.util import expand_ranges, first_occurrence
+from repro.util import expand_ranges
 
 __all__ = [
     "graph_to_pairs",
@@ -535,14 +534,13 @@ class ArrayGrowingState:
     into a per-state :class:`~repro.mr.emit.EmitScratch`, unadoptable
     rows are dropped before their value columns are materialized (the
     counters and memory-model checks still see the full multiset), and
-    in-process executors hand the surviving rows straight to
+    the surviving rows go straight to
     :func:`~repro.mr.kernels.scatter_min_rows` — no intermediate copy,
     key materialization, or counting-sort pass, and zero O(n)/O(m)
-    allocations on non-forced rounds.  Pool executors receive the
-    filtered rows grouped (stable argsort over what survives, not the
-    whole emission).  ``REPRO_EMIT_MODE`` selects push/pull/auto
-    expansion; ``REPRO_GROWING_KERNEL=sort`` restores the legacy
-    emit_frontier + ``round_batch`` pipeline verbatim as the oracle.
+    allocations on non-forced rounds.  ``REPRO_EMIT_MODE`` selects
+    push/pull/auto expansion; ``REPRO_GROWING_KERNEL=sort`` restores
+    the legacy emit_frontier + ``round_batch`` pipeline verbatim as the
+    oracle.
     """
 
     def __init__(self, graph: CSRGraph):
@@ -622,9 +620,6 @@ class ArrayGrowingState:
         if merge_kernel_name() == "sort":
             return self._step_legacy(engine, delta, force, rescale, iteration)
 
-        in_process = not hasattr(engine.executor, "run_batch") or getattr(
-            engine.executor, "in_process_batch", False
-        )
         # Merge: reduce last step's surviving candidates to the winning
         # (nd, center, dacc) per target, with the accounting of the full
         # emission (the batch carries it).  A pending batch is merged by
@@ -636,7 +631,7 @@ class ArrayGrowingState:
                 cand_keys, cand_values, merge_reducer(), key_bound=self.num_nodes
             )
         else:
-            keys, values = self._merge_fused(engine, self._pending, in_process)
+            keys, values = self._merge_fused(engine, self._pending)
         self._pending = None
         apply_start = perf_counter()
         self.changed[self._active] = False  # O(frontier), not O(n)
@@ -654,10 +649,9 @@ class ArrayGrowingState:
         engine.counters.add_time("apply", emit_start - apply_start)
 
         # Emit: fused expansion into the scratch banks.  Non-forced
-        # rounds pass the adopted frontier straight through.  Every
-        # fused consumer merges order-free — the in-process scatter and
-        # the pool reducer both break ties by (nd, center, source) — so
-        # the frozen-emission cache is available everywhere.
+        # rounds pass the adopted frontier straight through.  The fused
+        # merge is order-free — the scatter breaks ties by (nd, center,
+        # source) — so the frozen-emission cache is available everywhere.
         self._pending = self._emit_scratch.emit(
             center=self.center,
             dist=self.dist,
@@ -677,12 +671,11 @@ class ArrayGrowingState:
         return updated, newly
 
     def _merge_fused(
-        self, engine: MREngine, batch: Optional[EmitBatch], in_process: bool
+        self, engine: MREngine, batch: Optional[EmitBatch]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One merge round over a fused batch, with ``round_batch``'s
         exact accounting — the shared engine cost-model helpers, fed
         the *unfiltered* multiset the batch recorded at emit time."""
-        spec = engine.spec
         emitted = batch.emitted if batch is not None else 0
         words_per_pair = 4  # 1 key word + 3 payload words
         engine.check_total_memory(emitted, words_per_pair)
@@ -692,16 +685,15 @@ class ArrayGrowingState:
                 batch.group_keys, batch.group_counts, words_per_pair
             )
 
+        reduce_start = perf_counter()
         if batch is None or batch.count == 0:
-            reduce_start = perf_counter()
             out_keys = np.empty(0, dtype=np.int64)
             out_values = np.empty((0, 3), dtype=np.float64)
-        elif in_process:
+        else:
             # No shuffle at all: the ungrouped scatter consumes the
             # scratch banks directly; the (nd, center, source)
             # tie-break equals the engine's stable-first rule for
             # deduplicated edges.
-            reduce_start = perf_counter()
             out_keys, rows = scatter_min_rows(
                 batch.keys,
                 (batch.nd, batch.ctr, batch.srcf),
@@ -713,34 +705,6 @@ class ArrayGrowingState:
             out_values[:, 1] = batch.ctr[rows]
             out_values[:, 2] = self.dacc[batch.src[rows]]
             out_values[:, 2] += batch.w[rows]
-        else:
-            # Pool executors need physically grouped rows — built over
-            # the filtered survivors only, inside the shuffle window
-            # (mirroring round_batch's attribution of the argsort
-            # grouping).  The source id ships as an explicit tie-break
-            # column so the merge is order-free (cache-replayed batches
-            # have no arrival-order guarantee).
-            values4 = np.empty((batch.count, 4), dtype=np.float64)
-            values4[:, 0] = batch.nd
-            values4[:, 1] = batch.ctr
-            values4[:, 2] = batch.srcf
-            values4[:, 3] = self.dacc[batch.src]
-            values4[:, 3] += batch.w
-            order = np.argsort(batch.keys, kind="stable")
-            sorted_keys = batch.keys[order]
-            starts = first_occurrence(sorted_keys)
-            offsets = np.concatenate(
-                (starts, [len(sorted_keys)])
-            ).astype(np.int64)
-            sorted_values = values4[order]
-            reduce_start = perf_counter()
-            out_keys, out_values, _counts = engine.executor.run_batch(
-                sorted_keys[starts],
-                offsets,
-                sorted_values,
-                merge_candidates_by_source,
-                spec.num_workers,
-            )
         engine.counters.add_time("shuffle", reduce_start - shuffle_start)
         engine.counters.add_time("reduce", perf_counter() - reduce_start)
 
@@ -757,10 +721,7 @@ class ArrayGrowingState:
     ) -> Tuple[int, int]:
         """The sort-oracle pipeline: emit_frontier + ``round_batch``."""
         if isinstance(self._pending, EmitBatch):
-            in_process = not hasattr(engine.executor, "run_batch") or getattr(
-                engine.executor, "in_process_batch", False
-            )
-            keys, values = self._merge_fused(engine, self._pending, in_process)
+            keys, values = self._merge_fused(engine, self._pending)
             self._pending = None
         else:
             if isinstance(self._pending, tuple):
@@ -910,8 +871,9 @@ def owned_engine(graph: CSRGraph, config, engine=None, *, num_workers=None):
 
     The drivers accept an optional caller-supplied engine; when none is
     given they build one from ``config.executor`` and must close its
-    executor on the way out (the ``parallel`` backend owns a process
-    pool).  This context manager is that ownership rule, written once.
+    executor on the way out (the ``sharded`` backend owns worker
+    processes).  This context manager is that ownership rule, written
+    once.
     """
     if engine is not None:
         yield engine
@@ -934,7 +896,6 @@ def default_engine(
     *,
     executor="serial",
     num_workers=None,
-    processes=None,
     shards=None,
 ) -> MREngine:
     """Engine whose spec accommodates ``graph``'s densest reducer group.
@@ -943,27 +904,16 @@ def default_engine(
     size ≤ 8·(deg) + 64 words is a safe envelope for both layouts.
     ``executor`` is either an executor instance or a
     :func:`~repro.mr.executor.make_executor` name.  ``num_workers``
-    defaults to 1 (the single-machine simulation) except for the pool
-    backends (``parallel``/``mmap``), which default to the CPU count — a
-    process pool partitioned for one worker would run with zero
-    parallelism — and ``sharded``, where the simulated machine count
-    *is* the shard count (``shards``, default ``num_workers`` or the
-    CPU count).  ``num_workers`` never affects results, only the
-    critical-path model and the pool/shard size.
+    defaults to 1 (the single-machine simulation) except for
+    ``sharded``, where the simulated machine count *is* the shard count
+    (``shards``, default ``num_workers`` or the CPU count).
+    ``num_workers`` never affects results, only the critical-path model
+    and the shard count.
     """
     if isinstance(executor, str):
         if executor == "sharded" and shards is None:
             shards = num_workers
-        if num_workers is None and executor != "sharded":
-            from repro.mr.executor import POOL_EXECUTOR_NAMES
-
-            if executor in POOL_EXECUTOR_NAMES:
-                import os
-
-                num_workers = os.cpu_count() or 1
-            else:
-                num_workers = 1
-        executor = make_executor(executor, processes=processes, shards=shards)
+        executor = make_executor(executor, shards=shards)
     num_shards = getattr(executor, "num_shards", None)
     if num_shards is not None:
         # Owner-compute backend: the simulated machine count is the

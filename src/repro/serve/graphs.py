@@ -13,7 +13,7 @@ once per resident graph.  :class:`GraphPool` keeps a bounded LRU of
   time so pull-mode growing steps never rebuild the arc→row map;
 * a small LRU of warm :class:`~repro.mr.engine.MREngine` instances per
   (executor, workers, shards) — their scratch banks, cached growing
-  state, and pooled/shard executors survive across queries.
+  state, and shard executors survive across queries.
 
 Staleness uses the store's (mtime, size) signature: a query that finds
 its graph's current signature differing from the resident one swaps the

@@ -38,6 +38,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ClusterConfig(quotient_mode="apsp")
 
+    @pytest.mark.parametrize("executor", ["mmap", "parallel", "gpu"])
+    def test_invalid_executor(self, executor):
+        with pytest.raises(ConfigurationError, match="serial|vector|sharded"):
+            ClusterConfig(executor=executor)
+
 
 class TestResolveTau:
     def test_explicit_tau_wins(self):

@@ -17,12 +17,7 @@ from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
 from repro.mr.emit import EMIT_ENV, EmitScratch, emit_mode
-from repro.mr.kernels import (
-    CountScratch,
-    counting_group_keys,
-    merge_candidates,
-    merge_candidates_by_source,
-)
+from repro.mr.kernels import CountScratch, counting_group_keys
 from repro.mrimpl.growing_mr import NO_CENTER, emit_frontier
 
 
@@ -291,41 +286,6 @@ class TestDirectionPlanning:
                 assert scratch.plan_direction(graph.num_arcs, "auto") == "push"
         assert scratch.plan_direction(graph.num_arcs, "push") == "push"
         assert scratch.plan_direction(0, "pull") == "pull"
-
-
-class TestOrderFreeReducer:
-    def test_matches_arrival_reducer_on_dedup_batches(self):
-        """(nd, center, source) tie-break == arrival order when each
-        source ships at most one row per target."""
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            groups = rng.integers(1, 6)
-            keys, rows4, rows3 = [], [], []
-            for g in range(groups):
-                srcs = rng.choice(50, size=rng.integers(1, 8), replace=False)
-                srcs.sort()  # arrival order = ascending source
-                for s in srcs:
-                    nd = float(rng.integers(0, 3))
-                    c = float(rng.integers(0, 3))
-                    dacc = float(rng.random())
-                    keys.append(g)
-                    rows3.append((nd, c, dacc))
-                    rows4.append((nd, c, float(s), dacc))
-            keys = np.asarray(keys, dtype=np.int64)
-            rows3 = np.asarray(rows3)
-            rows4 = np.asarray(rows4)
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            offsets = np.concatenate((starts, [len(keys)])).astype(np.int64)
-            gk = keys[starts]
-            k3, v3, _ = merge_candidates(gk, offsets, rows3)
-            # Shuffle rows inside each group: the by-source reducer must
-            # not care about arrival order.
-            perm = np.concatenate(
-                [s + rng.permutation(e - s) for s, e in zip(offsets, offsets[1:])]
-            )
-            k4, v4, _ = merge_candidates_by_source(gk, offsets, rows4[perm])
-            np.testing.assert_array_equal(k3, k4)
-            np.testing.assert_allclose(v3, v4)
 
 
 class TestCountScratch:

@@ -26,7 +26,7 @@ from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.diameter_mr import mr_approximate_diameter
 from repro.mrimpl.growing_mr import default_engine
 
-EXECUTORS = ("serial", "vector", "parallel", "mmap", "sharded")
+EXECUTORS = ("serial", "vector", "sharded")
 MODES = ("push", "pull", "auto")
 CFG = ClusterConfig(seed=42, stage_threshold_factor=1.0, tau=16)
 

@@ -1,10 +1,6 @@
 """Tests for the execution backends."""
 
-import pytest
-
-from repro.mr.engine import MREngine
-from repro.mr.executor import MultiprocessingExecutor, SerialExecutor
-from repro.mr.model import MRSpec
+from repro.mr.executor import SerialExecutor
 
 
 def double_reducer(key, values):
@@ -25,25 +21,3 @@ class TestSerialExecutor:
         out, loads = ex.run({}, double_reducer, 3)
         assert out == []
         assert loads == [0, 0, 0]
-
-
-class TestMultiprocessingExecutor:
-    def test_matches_serial(self):
-        groups = {i: [i, i + 1] for i in range(8)}
-        serial_out, _ = SerialExecutor().run(groups, double_reducer, 4)
-        with MultiprocessingExecutor(processes=2) as ex:
-            mp_out, loads = ex.run(groups, double_reducer, 4)
-        assert sorted(mp_out) == sorted(serial_out)
-        assert len(loads) == 4
-
-    def test_engine_integration(self):
-        with MultiprocessingExecutor(processes=2) as ex:
-            engine = MREngine(MRSpec(10_000, 1000, num_workers=2), executor=ex)
-            out = engine.round([("a", 1), ("b", 2)], double_reducer)
-        assert sorted(out) == [("a", 2), ("b", 4)]
-
-    def test_close_idempotent(self):
-        ex = MultiprocessingExecutor(processes=1)
-        ex.run({"a": [1]}, double_reducer, 1)
-        ex.close()
-        ex.close()  # second close is a no-op

@@ -3,10 +3,10 @@
 The engine's contract is that executors only change *where* reducers run,
 never *what* they compute: output pair multisets, ``Counters``, the
 simulated critical path, and memory-limit enforcement must be identical
-across ``SerialExecutor``, ``MultiprocessingExecutor``,
-``VectorExecutor``, and ``SharedMemoryExecutor`` — for legacy per-key
-rounds and batch rounds alike (executors without native batch support
-run batch reducers through the engine's in-process fallback).
+across ``SerialExecutor``, ``VectorExecutor``, and ``ShardedExecutor``
+(whose non-growing rounds run in the driver) — for legacy per-key rounds
+and batch rounds alike (executors without native batch support run batch
+reducers through the engine's in-process fallback).
 """
 
 from functools import partial
@@ -14,14 +14,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.errors import MemoryLimitExceeded
+from repro.errors import ConfigurationError, MemoryLimitExceeded
 from repro.mr.batch import group_count, group_min_first, group_sum
 from repro.mr.engine import MREngine
 from repro.mr.executor import (
     EXECUTOR_NAMES,
-    MultiprocessingExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     VectorExecutor,
     make_executor,
 )
@@ -30,9 +28,8 @@ from repro.mr.partitioner import hash_partition, hash_partition_array
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "multiprocessing": lambda: MultiprocessingExecutor(processes=2),
     "vector": VectorExecutor,
-    "parallel": lambda: SharedMemoryExecutor(processes=2),
+    "sharded": lambda: make_executor("sharded", shards=2),
 }
 
 
@@ -42,7 +39,7 @@ def _close(executor):
 
 
 def doubler(key, values):
-    """Module-level per-key reducer (picklable for the process pools)."""
+    """Module-level per-key reducer."""
     return [(key, 2 * v) for v in values]
 
 
@@ -64,7 +61,7 @@ def batch_payload():
 
 
 class TestLegacyRoundParity:
-    """Per-key rounds across all four backends."""
+    """Per-key rounds across all three backends."""
 
     @pytest.fixture(params=list(EXECUTORS))
     def backend(self, request):
@@ -98,7 +95,7 @@ class TestLegacyRoundParity:
 
 
 class TestBatchRoundParity:
-    """Batch rounds across all four backends (fallback or native)."""
+    """Batch rounds across all three backends (fallback or native)."""
 
     @pytest.fixture(params=list(EXECUTORS))
     def backend(self, request):
@@ -176,9 +173,17 @@ class TestFactory:
             assert (name == "serial") == (not hasattr(executor, "run_batch"))
             _close(executor)
 
+    def test_names_are_the_three_backends(self):
+        assert EXECUTOR_NAMES == ("serial", "vector", "sharded")
+
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="unknown executor"):
             make_executor("gpu")
+
+    @pytest.mark.parametrize("name", ["parallel", "mmap"])
+    def test_removed_pool_names_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="serial, vector, sharded"):
+            make_executor(name)
 
     def test_supports_batch_property(self):
         assert not make_engine(SerialExecutor()).supports_batch

@@ -24,7 +24,7 @@ from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
 from repro.mrimpl.growing_mr import default_engine
 
-EXECUTORS = ("serial", "vector", "parallel", "mmap", "sharded")
+EXECUTORS = ("serial", "vector", "sharded")
 MODES = ("sort", "scatter")
 CFG = ClusterConfig(seed=42, stage_threshold_factor=1.0, tau=16)
 

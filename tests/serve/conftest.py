@@ -29,8 +29,8 @@ def stored_graphs(tmp_path_factory):
         ("mesh", mesh(10, seed=3)),
         ("gnm", gnm_random_graph(80, 200, seed=5, connect=True)),
         ("mesh2", mesh(8, seed=9)),
-        # Large enough that pool backends actually ship batches to
-        # worker processes (tiny frontiers stay on the fused path).
+        # Large enough that the sharded workers exchange real
+        # cross-shard candidate batches.
         ("big", gnm_random_graph(400, 1600, seed=5, connect=True)),
     ):
         path = root / f"{name}.rcsr"

@@ -89,6 +89,15 @@ class TestNDJSONSurface:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("executor", ["parallel", "nosuch"])
+    def test_unknown_executor_is_bad_request(self, client, stored_graphs, executor):
+        with pytest.raises(ServeRemoteError) as excinfo:
+            client.query(stored_graphs["mesh"], "diameter", executor=executor)
+        assert excinfo.value.status == 400
+        assert "unknown executor" in str(excinfo.value)
+        # The daemon keeps serving valid queries afterwards.
+        assert client.ping()["pong"] is True
+
     def test_unknown_op_is_bad_request(self, client):
         with pytest.raises(ServeRemoteError) as excinfo:
             client.request({"op": "frobnicate"})
