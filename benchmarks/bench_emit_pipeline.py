@@ -4,9 +4,9 @@ PR 4 moved the reduce side to O(candidates); this bench measures the
 emit side's fused pipeline (``repro.mr.emit``): scratch-buffered
 candidate generation, direction-optimizing push/pull expansion, the
 improvement pre-filter, and the frozen-emission cache that replays
-forced rounds.  The same Figure-4-family workload as
-``bench_growing_kernels.py`` (R-MAT LCC, CLUSTER with capped growth)
-runs on every fused backend under each ``REPRO_EMIT_MODE``:
+forced rounds.  A Figure-4-family workload (R-MAT LCC, CLUSTER with
+capped growth) runs on every fused backend under each
+``REPRO_EMIT_MODE``:
 
 * ``push`` — frontier-major expansion (the PR 4 shape, now scratch-
   buffered and improvement-filtered);
@@ -17,7 +17,9 @@ runs on every fused backend under each ``REPRO_EMIT_MODE``:
 PR 7 adds the kernel-implementation dimension: every backend × mode
 combination runs once on the pure-NumPy tier (``py`` — rows keep their
 PR 5 names) and once on the native C tier (``-native`` suffix) when a
-toolchain is available.  Both tiers must produce the identical
+toolchain is available.  The native tier has no pull kernel, so the
+``-pull-native`` rows run the NumPy pull expansion with the native
+merge/finish kernels around it.  Both tiers must produce the identical
 clustering *and* identical rounds/messages/updates counters (asserted
 below and by ``tests/mr/test_native_kernels.py``); the wall-clock
 column is the point.  Acceptance bars (enforced at full scale):

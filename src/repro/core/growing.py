@@ -16,8 +16,7 @@ The implementation is a single synchronous (Jacobi-style) NumPy pass:
    kernel (:func:`repro.mr.kernels.scatter_min_rows`) over
    ``(candidate_distance, candidate_center)`` — exactly the paper's
    tie-breaking rule, deterministically, without sorting the candidate
-   batch (``REPRO_GROWING_KERNEL=sort`` restores the legacy
-   ``np.lexsort`` for A/B comparison).
+   batch.
 
 Frontier maintenance: after the first full step, only nodes whose state
 changed can generate new improvements (frozen nodes' contributions never
@@ -37,9 +36,9 @@ from repro.core.state import NO_CENTER, ClusterState
 from repro.graph.csr import CSRGraph
 from repro.mr import native as _native
 from repro.mr.emit import PULL_DEGREE_FRACTION, emit_mode
-from repro.mr.kernels import ScatterScratch, merge_kernel_name, scatter_min_rows
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.metrics import Counters
-from repro.util import expand_ranges, first_occurrence
+from repro.util import expand_ranges
 
 __all__ = ["delta_growing_step", "partial_growth", "GrowthResult"]
 
@@ -134,35 +133,23 @@ def delta_growing_step(
         emitting[srcs] = True
         effd[srcs] = eff
         rows = graph.arc_sources_view()  # reverse-CSR arc→row map
-        if _native.use_native():
-            cand_t, cand_d, cand_s, cand_w, messages = _native.core_emit_pull(
-                rows, graph.indices, graph.weights, emitting, effd,
-                delta, state.frozen, state.dist,
-            )
-            if not len(cand_t):
-                counters.record_round(messages=messages, updates=0)
-                counters.add_time("emit", perf_counter() - emit_start)
-                return np.empty(0, dtype=np.int64), 0
-            cand_c = state.center[cand_s]
-            cand_acc = state.dist_acc[cand_s] + cand_w
-        else:
-            em = emitting[graph.indices]
-            w_all = graph.weights
-            light_all = w_all <= delta
-            open_all = ~state.frozen[rows]
-            msg_mask = em & light_all & open_all
-            messages = int(np.count_nonzero(msg_mask))
-            nd_all = effd[graph.indices] + w_all
-            ok_all = msg_mask & (nd_all <= delta) & (nd_all < state.dist[rows])
-            if not ok_all.any():
-                counters.record_round(messages=messages, updates=0)
-                counters.add_time("emit", perf_counter() - emit_start)
-                return np.empty(0, dtype=np.int64), 0
-            cand_t = rows[ok_all]
-            cand_d = nd_all[ok_all]
-            cand_s = graph.indices[ok_all]
-            cand_c = state.center[cand_s]
-            cand_acc = state.dist_acc[cand_s] + w_all[ok_all]
+        em = emitting[graph.indices]
+        w_all = graph.weights
+        light_all = w_all <= delta
+        open_all = ~state.frozen[rows]
+        msg_mask = em & light_all & open_all
+        messages = int(np.count_nonzero(msg_mask))
+        nd_all = effd[graph.indices] + w_all
+        ok_all = msg_mask & (nd_all <= delta) & (nd_all < state.dist[rows])
+        if not ok_all.any():
+            counters.record_round(messages=messages, updates=0)
+            counters.add_time("emit", perf_counter() - emit_start)
+            return np.empty(0, dtype=np.int64), 0
+        cand_t = rows[ok_all]
+        cand_d = nd_all[ok_all]
+        cand_s = graph.indices[ok_all]
+        cand_c = state.center[cand_s]
+        cand_acc = state.dist_acc[cand_s] + w_all[ok_all]
     elif _native.use_native():
         # Fused push expansion + message count + Δ/improvement filter in
         # one C pass over the frontier's arcs (same semantics as the
@@ -214,19 +201,14 @@ def delta_growing_step(
 
     # Winner per target: smallest distance, then smallest center index
     # (any remaining tie is a duplicate (target, distance, center) row;
-    # both kernels keep the earliest arrival — which is the same row in
+    # the kernel keeps the earliest arrival — which is the same row in
     # push and pull order, as sources ascend within each target group).
-    if merge_kernel_name() == "sort":
-        order = np.lexsort((cand_c, cand_d, cand_t))
-        sel = order[first_occurrence(cand_t[order])]
-        upd = cand_t[sel]
-    else:
-        upd, sel = scatter_min_rows(
-            cand_t,
-            (cand_d, cand_c.astype(np.float64)),
-            domain=len(state.center),
-            scratch=scratch,
-        )
+    upd, sel = scatter_min_rows(
+        cand_t,
+        (cand_d, cand_c.astype(np.float64)),
+        domain=len(state.center),
+        scratch=scratch,
+    )
 
     apply_start = perf_counter()
     counters.add_time("reduce", apply_start - reduce_start)

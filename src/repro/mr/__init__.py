@@ -15,8 +15,8 @@ budget ``M_L``.  This package provides:
   reports (rounds, work = node updates + messages);
 * :mod:`~repro.mr.batch` — the array-valued batch reducer protocol of the
   vectorized shuffle (``MREngine.round_batch``);
-* :mod:`~repro.mr.kernels` — the O(candidates) scatter-min merge kernels
-  and the bounded-key counting-sort shuffle of the growing step;
+* :mod:`~repro.mr.kernels` — the O(candidates) scatter-min merge kernel
+  of the growing step;
 * :mod:`~repro.mr.executor` — the serial and vectorized backends, plus
   ``make_executor`` for every named backend (the owner-compute
   ``sharded`` one lives in :mod:`~repro.mr.sharded`).

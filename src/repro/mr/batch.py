@@ -11,9 +11,8 @@ parallel arrays:
   of payload).
 
 :meth:`repro.mr.engine.MREngine.round_batch` performs the shuffle with a
-bounded-key counting sort (``np.bincount`` + prefix sum) or a stable
-``np.argsort`` fallback — the vectorized equivalent of the
-dict-of-lists grouping.  A **batch reducer** then processes *all*
+stable ``np.argsort`` — the vectorized equivalent of the dict-of-lists
+grouping.  A **batch reducer** then processes *all*
 groups in one call::
 
     reduce_batch(keys, offsets, values) -> (out_keys, out_values, out_counts)

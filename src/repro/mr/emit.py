@@ -5,8 +5,9 @@ PR 4 made the *reduce* side of a Δ-growing step frontier-proportional
 round candidate generation plus the shuffle that re-materializes those
 rows — dominating every batch backend.  Three structural costs remained:
 
-1. **allocation churn** — ``emit_frontier`` built a fresh ``(C, 3)``
-   float64 matrix plus several index temporaries every round;
+1. **allocation churn** — the first array emitter built a fresh
+   ``(C, 3)`` float64 matrix plus several index temporaries every
+   round;
 2. **push-only expansion** — a forced round (stage start, Δ change)
    re-expands *every* assigned node through ``indptr`` gathers and two
    ``np.repeat`` calls, even though late-stage forced rounds are almost
@@ -19,10 +20,11 @@ rows — dominating every batch backend.  Three structural costs remained:
 This module fixes all three while keeping every observable — the
 clustering, ``rounds``/``messages``/``updates`` counters, and (on the
 engine-managed backends) the memory-model checks and simulated critical
-path — bit-identical to the legacy pipeline.  The sharded backend's
-self-defined resident-merge accounting instead measures the batch its
-workers *actually* merge, which the improvement pre-filter shrinks —
-see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
+path — bit-identical to the original emit + sort-merge pipeline.  The
+sharded backend's self-defined resident-merge accounting instead
+measures the batch its workers *actually* merge, which the improvement
+pre-filter shrinks — see :class:`repro.mr.sharded.ShardedGrowingState`
+for that contract.
 
 * :class:`EmitScratch` owns preallocated, monotonically grown buffers
   (dense id-domain scratch, arc-domain scratch bounded by the graph's
@@ -81,10 +83,12 @@ see :class:`repro.mr.sharded.ShardedGrowingState` for that contract.
   Contract2 rescaling uses the plain push/pull paths, as do the
   explicit ``push``/``pull`` A/B modes.
 
-The legacy pipeline (``emit_frontier`` + ``MREngine.round_batch``) is
-retained verbatim as the ``REPRO_GROWING_KERNEL=sort`` oracle; the
-parity suites in ``tests/mr/test_emit_parity.py`` pit every
-executor × kernel × emit-mode combination against it.
+The parity suite ``tests/mr/test_emit_parity.py`` pits every
+executor × emit-mode combination against the per-key ``serial``
+executor, ``tests/mr/test_emit.py`` checks the fused columns against a
+plain array emitter kept in the tests, and
+``tests/mr/test_kernel_parity.py`` pins the end-to-end results of the
+sort-based pipeline this module replaced.
 """
 
 from __future__ import annotations
@@ -228,8 +232,8 @@ class EmitScratch:
     ``owners`` (the partition sidecars, indexed by global id) and
     ``shard_id`` supply the reverse maps.  The mapped layout keeps the
     native push expansion (its keys come straight from ``indices``) but
-    takes the NumPy pull and cache-maintenance branches, whose id
-    arithmetic assumes contiguity.
+    takes the NumPy cache-maintenance branch, whose native id
+    arithmetic assumes contiguity.  Pull is NumPy on every layout.
     """
 
     def __init__(
@@ -284,7 +288,7 @@ class EmitScratch:
         self._eff: Optional[np.ndarray] = None
         self._mask: Optional[np.ndarray] = None
         # Dense all-zero histogram for the native accounting pass
-        # (rk_count_keys restores the invariant in-kernel).
+        # (rk_finish_batch restores the invariant in-kernel).
         self._hist0: Optional[np.ndarray] = None
         # Frozen-emission cache (auto mode, rescale == 0, forced rounds).
         self._cache_delta: Optional[float] = None
@@ -365,8 +369,8 @@ class EmitScratch:
             # The C push expansion scans exactly the frontier's
             # degree-sum arcs with zero allocation, so it never loses
             # to a full-arc pull scan (pull exists for the NumPy tier,
-            # where push pays for expand/repeat materialization, and
-            # for the explicit REPRO_EMIT_MODE=pull A/B switch).  Both
+            # where push pays for expand/repeat materialization; an
+            # explicit REPRO_EMIT_MODE=pull runs that NumPy pull).  Both
             # directions emit the identical candidate multiset, so the
             # choice cannot perturb results or counters.
             return "push"
@@ -457,10 +461,6 @@ class EmitScratch:
             return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8, _EMPTY_I8, 0
         indices = self.indices
         weights = self.weights
-        if _native.use_native() and self.row_gids is None:
-            # The native pull kernel derives keys/sources by contiguous
-            # id arithmetic; mapped layouts stay on the NumPy branch.
-            return self._emit_pull_native(mask, eff, delta)
         em = np.take(mask, indices, out=self._b1.get("pull_em", arcs))
         nd = np.take(eff, indices, out=self._f8.get("pull_nd", arcs))
         nd += weights
@@ -518,54 +518,6 @@ class EmitScratch:
             aidx_c[count:total] = baidx
         return keys_c, nd_c, src_c, aidx_c, total
 
-    def _emit_pull_native(self, mask: np.ndarray, eff: np.ndarray, delta: float):
-        """Native tier of :meth:`_emit_pull`: same columns, same order.
-
-        The local-target block streams through one C pass over the
-        reverse CSR (chunk-threaded over contiguous arc ranges when
-        ``REPRO_EMIT_THREADS > 1``); the shard-boundary block — a few
-        outward arcs at most — stays in NumPy and is appended after it,
-        exactly like the pure path.
-        """
-        arcs = self.num_arcs
-        indices = self.indices
-        weights = self.weights
-
-        # Boundary slice first so the banks can be sized for the total.
-        bk = bnd = bsrc = baidx = None
-        bcount = 0
-        if self._b_aidx is not None and len(self._b_aidx):
-            bw = np.take(weights, self._b_aidx)
-            bsrc_g = self._b_rows + self.base if self.base else self._b_rows
-            bem = mask[bsrc_g]
-            bnd_all = eff[bsrc_g]
-            bnd_all = bnd_all + bw
-            bok = bem & (bw <= delta) & (bnd_all <= delta)
-            bcount = int(np.count_nonzero(bok))
-            if bcount:
-                bk = np.take(indices, self._b_aidx)[bok]
-                bnd = bnd_all[bok]
-                bsrc = self._b_rows[bok]
-                baidx = self._b_aidx[bok]
-
-        keys_b = self._i8.get("full_keys", arcs + bcount)
-        nd_b = self._f8.get("full_nd", arcs + bcount)
-        src_b = self._i8.get("full_src", arcs + bcount)
-        aidx_b = self._i8.get("full_aidx", arcs + bcount)
-        count = _native.emit_pull_into(
-            self._arc_rows_view(), indices, weights, mask, eff, delta,
-            self.base, keys_b, nd_b, src_b, aidx_b, _native.emit_threads(),
-        )
-        total = count + bcount
-        if total == 0:
-            return _EMPTY_I8, _EMPTY_F8, _EMPTY_I8, _EMPTY_I8, 0
-        if bcount:
-            keys_b[count:total] = bk
-            nd_b[count:total] = bnd
-            src_b[count:total] = bsrc
-            aidx_b[count:total] = baidx
-        return keys_b[:total], nd_b[:total], src_b[:total], aidx_b[:total], total
-
     def _arange(self, size: int) -> np.ndarray:
         buf = self._i8._bufs.get("arange")
         if buf is None or len(buf) < size:
@@ -592,11 +544,10 @@ class EmitScratch:
     ):
         """Unfiltered fused expansion: ``(keys, nd, src_local, aidx, emitted)``.
 
-        The scratch-buffered, direction-optimized equivalent of
-        ``emit_frontier(..., with_sources=True)`` minus the value-matrix
-        materialization; sharded workers route and filter the columns
-        themselves (only locally-owned targets can be improvement-
-        tested).  State arrays are local; ``keys`` follow ``indices``'
+        The scratch-buffered, direction-optimized candidate expansion,
+        without value-matrix materialization; sharded workers route and
+        filter the columns themselves (only locally-owned targets can be
+        improvement-tested).  State arrays are local; ``keys`` follow ``indices``'
         id space.  On cache-replayed forced rounds ``emitted`` counts
         inert rows too and exceeds the column length; consumers must
         merge order-free (the sharded merge does).
@@ -736,9 +687,9 @@ class EmitScratch:
     ) -> EmitBatch:
         """One round's fused candidate generation (whole-graph layout).
 
-        Semantically :func:`repro.mrimpl.growing_mr.emit_frontier`
-        followed by the merge-time discard of unadoptable candidates,
-        with the counters and histogram of the *unfiltered* emission.
+        Semantically the plain frontier expansion followed by the
+        merge-time discard of unadoptable candidates, with the counters
+        and histogram of the *unfiltered* emission.
         ``sources`` is the active frontier for non-forced rounds (local
         ids, ascending); forced rounds scan all nodes.  Explicit
         ``push``/``pull`` modes disable the frozen-emission cache, so
@@ -1108,22 +1059,13 @@ class EmitScratch:
     # ------------------------------------------------------------------ #
 
     #: Dense histograms only pay off when the target domain is not far
-    #: larger than the batch (mirrors the engine's counting-shuffle
-    #: heuristic); skinnier batches sort their few rows instead.
+    #: larger than the batch; skinnier batches sort their few rows
+    #: instead.
     _HIST_SLACK = 65_536
 
     def _histogram(self, keys_c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Full-multiset per-target histogram ``(group_keys, counts)``."""
         domain = self.num_rows
-        if _native.use_native():
-            # One stamped C pass, O(batch + distinct·log distinct): the
-            # same (group_keys, counts) values as either branch below.
-            if self._hist0 is None or len(self._hist0) < domain:
-                self._hist0 = np.zeros(domain, dtype=np.int64)
-            gk_b = self._i8.get("hist_gk", len(keys_c))
-            gc_b = self._i8.get("hist_gc", len(keys_c))
-            g = _native.count_keys(keys_c, self._hist0, gk_b, gc_b)
-            return gk_b[:g].copy(), gc_b[:g].copy()
         if domain <= 4 * len(keys_c) + self._HIST_SLACK:
             dense = np.bincount(keys_c, minlength=domain)
             gk = np.flatnonzero(dense)

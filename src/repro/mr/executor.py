@@ -24,8 +24,7 @@ Three backends are selectable by name (:data:`EXECUTOR_NAMES`):
   boundaries.  It is the multi-process and out-of-core backend.
 
 Every backend runs batch reducers in the engine's process (sharded
-workers run the growing step themselves), so the engine may hand
-scatter-capable reducers the ungrouped batch.  The batch backends still
+workers run the growing step themselves).  The batch backends still
 accept legacy per-key rounds (delegated to the serial shard loop), so
 one engine can mix batch hot-path rounds with per-key rounds in the
 same computation.

@@ -1,9 +1,12 @@
 """Native kernel tier: compiled hot kernels + threaded emit, behind a seam.
 
 ``REPRO_KERNEL_IMPL=py|native|auto`` selects the implementation tier for
-the Δ-growing hot kernels (push/pull emit with the improvement
-pre-filter, ``scatter_min_rows``, ``merge_candidates``'s grouped
-min-first, ``counting_group_keys``, and the frozen-replay histogram).
+the Δ-growing hot kernels (push emit with the improvement pre-filter,
+``scatter_min_rows``, the accounting histogram, the frozen-replay cache,
+and the per-round state transitions).  Pull expansion has no native
+kernel: ``auto`` resolves to push on this tier (see
+:meth:`repro.mr.emit.EmitScratch.plan_direction`), and a forced
+``REPRO_EMIT_MODE=pull`` runs the NumPy pull.
 ``auto`` (the default) uses the native tier whenever the shared library
 can be built and loaded (see :mod:`repro.mr.native.build`), degrading
 silently to the pure NumPy tier otherwise — the pure implementations
@@ -11,7 +14,7 @@ always remain and stay the parity oracle.  ``REPRO_NATIVE_DISABLE=1``
 force-disables the native tier even when a compiler exists (the
 no-toolchain CI job uses it to prove the fallback).
 
-Like ``REPRO_GROWING_KERNEL`` and ``REPRO_EMIT_MODE``, the switches are
+Like ``REPRO_EMIT_MODE``, the switches are
 read from the environment **per call**, so benchmarks and the parity
 suites flip tiers between runs in one process, and forked shard workers
 inherit the active tier through their environment snapshot.
@@ -24,10 +27,10 @@ Threaded emit
 -------------
 ``ClusterConfig.emit_threads`` / ``REPRO_EMIT_THREADS`` (default
 ``os.cpu_count()``) set how many threads the native emit expansion may
-use.  The model is deterministic by construction: the frontier (push)
-or arc range (pull) is split into contiguous chunks, each chunk's
-kernel writes into a **disjoint region** of the shared output banks
-(regions sized by the chunk's degree-sum upper bound), and a final
+use.  The model is deterministic by construction: the push frontier is
+split into contiguous chunks, each chunk's kernel writes into a
+**disjoint region** of the shared output banks (regions sized by the
+chunk's degree-sum upper bound), and a final
 order-preserving compaction (``rk_compact``) packs the regions — so the
 candidate columns are bit-identical to the single-threaded pass for
 *any* thread count.  ctypes releases the GIL around every kernel call,
@@ -102,11 +105,8 @@ _SIGNATURES = {
         [_P, _I, _P, _I, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _I, _P, _P],
         _I,
     ),
-    "rk_count_keys": ([_P, _I, _P, _P, _P], _I),
     "rk_bincount": ([_P, _I, _P], None),
-    "rk_group_min_first": ([_P, _I, _I, _P, _I, _P], None),
     "rk_emit_push": ([_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P], _I),
-    "rk_emit_pull": ([_P, _P, _P, _I, _I, _P, _P, _D, _I, _P, _P, _P, _P], _I),
     "rk_compact": ([_P, _P, _P, _P, _P, _P, _I], _I),
     "rk_filter_improve": (
         [_P, _P, _P, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P, _P, _P],
@@ -133,10 +133,6 @@ _SIGNATURES = {
     "rk_materialize": ([_P, _P, _I, _P, _P, _P, _P, _P], None),
     "rk_core_emit_push": (
         [_P, _P, _P, _P, _P, _I, _D, _P, _P, _P, _P, _P, _P, _P],
-        _I,
-    ),
-    "rk_core_emit_pull": (
-        [_P, _P, _P, _I, _P, _P, _D, _P, _P, _P, _P, _P, _P, _P],
         _I,
     ),
 }
@@ -295,40 +291,11 @@ def scatter_min_rows(ids, cols, *, domain, scratch):
     return out_ids[:t].copy(), out_rows[:t].copy()
 
 
-def count_keys(keys, hist, out_keys, out_counts):
-    """Distinct ascending keys + counts; ``hist`` all-zero in and out."""
-    lib = _load()
-    keys = _contig_i8(keys)
-    return lib.rk_count_keys(
-        _ptr(keys), len(keys), _ptr(hist), _ptr(out_keys), _ptr(out_counts)
-    )
-
-
 def bincount_into(keys, hist) -> None:
     """``np.add.at(hist, keys, 1)`` without the buffered-ufunc overhead."""
     lib = _load()
     keys = _contig_i8(keys)
     lib.rk_bincount(_ptr(keys), len(keys), _ptr(hist))
-
-
-def group_min_first_rows(values, sort_cols, offsets) -> Optional[np.ndarray]:
-    """Winner row per offsets-delimited group; ``None`` when the matrix
-    layout is not native-friendly (caller falls back to the pure tier)."""
-    if (
-        values.dtype != np.float64
-        or values.ndim != 2
-        or not values.flags.c_contiguous
-    ):
-        return None
-    lib = _load()
-    ngroups = len(offsets) - 1
-    offsets = _contig_i8(offsets)
-    out = np.empty(ngroups, dtype=np.int64)
-    lib.rk_group_min_first(
-        _ptr(values), values.shape[1], sort_cols, _ptr(offsets), ngroups,
-        _ptr(out),
-    )
-    return out
 
 
 def filter_improve(
@@ -557,43 +524,6 @@ def emit_push_into(
     )
 
 
-def emit_pull_into(
-    arc_rows, indices, weights, mask, eff, delta, base,
-    out_keys, out_nd, out_src, out_aidx, threads,
-) -> int:
-    """Fused pull expansion over all arcs into the given banks.
-
-    Threading splits the arc range into contiguous chunks; chunk c's
-    region is based at its arc offset (a trivially exact upper bound),
-    then ``rk_compact`` packs the regions — bit-identical for any
-    thread count.
-    """
-    lib = _load()
-    narcs = len(indices)
-
-    def chunk(lo: int, hi: int, out_base: int) -> int:
-        return lib.rk_emit_pull(
-            _ptr(arc_rows), _ptr(indices), _ptr(weights), lo, hi,
-            _ptr(mask), _ptr(eff), delta, base,
-            _ptr(out_keys[out_base:]), _ptr(out_nd[out_base:]),
-            _ptr(out_src[out_base:]), _ptr(out_aidx[out_base:]),
-        )
-
-    if threads <= 1 or narcs < THREAD_MIN_ARCS:
-        return chunk(0, narcs, 0)
-    nchunks = min(threads, narcs)
-    bounds = np.linspace(0, narcs, nchunks + 1).astype(np.int64)
-    pool = _get_pool(nchunks)
-    futures = [
-        pool.submit(chunk, int(lo), int(hi), int(lo))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    chunk_counts = [f.result() for f in futures]
-    return _compact(
-        lib, out_keys, out_nd, out_src, out_aidx, bounds[:-1], chunk_counts
-    )
-
-
 def core_emit_push(
     indptr, indices, weights, srcs, eff, delta, frozen, dist, total,
 ):
@@ -607,28 +537,6 @@ def core_emit_push(
     t = lib.rk_core_emit_push(
         _ptr(indptr), _ptr(indices), _ptr(weights),
         _ptr(srcs), _ptr(eff), len(srcs), delta,
-        _ptr(frozen), _ptr(dist), _ptr(messages),
-        _ptr(cand_t), _ptr(cand_d), _ptr(cand_s), _ptr(cand_w),
-    )
-    return (
-        cand_t[:t], cand_d[:t], cand_s[:t], cand_w[:t], int(messages[0])
-    )
-
-
-def core_emit_pull(
-    arc_rows, indices, weights, emitting, effd, delta, frozen, dist,
-):
-    """Serial-core pull candidates: ``(cand_t, cand_d, cand_s, cand_w, messages)``."""
-    lib = _load()
-    narcs = len(indices)
-    cand_t = np.empty(narcs, dtype=np.int64)
-    cand_d = np.empty(narcs)
-    cand_s = np.empty(narcs, dtype=np.int64)
-    cand_w = np.empty(narcs)
-    messages = np.zeros(1, dtype=np.int64)
-    t = lib.rk_core_emit_pull(
-        _ptr(arc_rows), _ptr(indices), _ptr(weights), narcs,
-        _ptr(emitting), _ptr(effd), delta,
         _ptr(frozen), _ptr(dist), _ptr(messages),
         _ptr(cand_t), _ptr(cand_d), _ptr(cand_s), _ptr(cand_w),
     )
@@ -655,18 +563,12 @@ def _register_tables() -> None:
 
     KERNEL_TABLES[("numpy", "py")] = {
         "scatter_min_rows": _k.scatter_min_rows,
-        "counting_group_keys": _k.counting_group_keys,
-        "group_min_first": _k.scatter_group_min_first,
     }
     KERNEL_TABLES[("numpy", "native")] = {
         "scatter_min_rows": scatter_min_rows,
-        "count_keys": count_keys,
-        "group_min_first_rows": group_min_first_rows,
         "emit_push_into": emit_push_into,
-        "emit_pull_into": emit_pull_into,
         "filter_improve": filter_improve,
         "core_emit_push": core_emit_push,
-        "core_emit_pull": core_emit_pull,
     }
 
 

@@ -11,7 +11,7 @@
  * counterpart computes — same IEEE double arithmetic (one add per
  * candidate), same strict-less lexicographic tie-breaks, same output
  * ordering (ascending ids from a qsort over the touched list; push
- * candidates in source-major CSR order; pull candidates in arc order).
+ * candidates in source-major CSR order).
  * The pure tier stays the oracle: tests/mr/test_native_kernels.py pits
  * every function here against it.
  */
@@ -23,10 +23,10 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-/* The pull kernels stream arcs sequentially but gather per-source
- * state through indices[a] — a dependent random access that stalls the
- * whole loop.  indices itself streams, so the gather address is known
- * well ahead: prefetching it ~64 arcs out overlaps the misses. */
+/* Most kernels stream an id column (keys, ids, cache keys) but gather
+ * per-id state through it — a dependent random access that stalls the
+ * whole loop.  The id column itself streams, so the gather address is
+ * known well ahead: prefetching it ~64 rows out overlaps the misses. */
 #if defined(__GNUC__) || defined(__clang__)
 #define RK_PREFETCH(p) __builtin_prefetch((p), 0, 1)
 #define RK_PREFETCH_W(p) __builtin_prefetch((p), 1, 1)
@@ -104,28 +104,6 @@ i64 rk_scatter_min_rows(
     return t;
 }
 
-/* Counting shuffle: histogram bounded keys into `hist` (all-zero on
- * entry, restored to all-zero on exit), emitting the distinct keys
- * ascending plus their counts.  Returns the distinct count. */
-i64 rk_count_keys(
-    const i64 *keys, i64 n, i64 *hist, i64 *out_keys, i64 *out_counts)
-{
-    i64 t = 0;
-    for (i64 i = 0; i < n; ++i) {
-        if (i + RK_PF_DIST < n)
-            RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
-        i64 k = keys[i];
-        if (hist[k]++ == 0)
-            out_keys[t++] = k;
-    }
-    qsort(out_keys, (size_t)t, sizeof(i64), cmp_i64);
-    for (i64 j = 0; j < t; ++j) {
-        out_counts[j] = hist[out_keys[j]];
-        hist[out_keys[j]] = 0;
-    }
-    return t;
-}
-
 /* Plain bincount accumulation (hist is NOT reset). */
 void rk_bincount(const i64 *keys, i64 n, i64 *hist)
 {
@@ -133,33 +111,6 @@ void rk_bincount(const i64 *keys, i64 n, i64 *hist)
         if (i + RK_PF_DIST < n)
             RK_PREFETCH_W(&hist[keys[i + RK_PF_DIST]]);
         hist[keys[i]] += 1;
-    }
-}
-
-/* Grouped min-first: per offsets-delimited group, the first row in
- * input order minimizing the leading sort_cols columns of the
- * C-contiguous (nrows, stride) values matrix. */
-void rk_group_min_first(
-    const double *values, i64 stride, i64 sort_cols,
-    const i64 *offsets, i64 ngroups, i64 *out_rows)
-{
-    for (i64 g = 0; g < ngroups; ++g) {
-        i64 lo = offsets[g], hi = offsets[g + 1];
-        i64 best = lo;
-        const double *bv = values + lo * stride;
-        for (i64 r = lo + 1; r < hi; ++r) {
-            const double *rv = values + r * stride;
-            for (i64 c = 0; c < sort_cols; ++c) {
-                if (rv[c] < bv[c]) {
-                    best = r;
-                    bv = rv;
-                    break;
-                }
-                if (rv[c] > bv[c])
-                    break;
-            }
-        }
-        out_rows[g] = best;
     }
 }
 
@@ -192,38 +143,6 @@ i64 rk_emit_push(
             out_aidx[t] = a;
             ++t;
         }
-    }
-    return t;
-}
-
-/* Fused pull expansion over the arc range [lo, hi) of the reverse CSR
- * (EmitScratch._emit_pull's local-target block): keep arcs whose source
- * is marked in the dense mask, with the same light/Δ filter.  Arc-major
- * order == target-major with ascending sources per target. */
-i64 rk_emit_pull(
-    const i64 *arc_rows, const i64 *indices, const double *weights,
-    i64 lo, i64 hi,
-    const u8 *mask, const double *eff, double delta, i64 base,
-    i64 *out_keys, double *out_nd, i64 *out_src, i64 *out_aidx)
-{
-    i64 t = 0;
-    for (i64 a = lo; a < hi; ++a) {
-        if (a + RK_PF_DIST < hi)
-            RK_PREFETCH(&mask[indices[a + RK_PF_DIST]]);
-        i64 s = indices[a];
-        if (!mask[s])
-            continue;
-        double w = weights[a];
-        if (w > delta)
-            continue;
-        double nd = eff[s] + w;
-        if (nd > delta)
-            continue;
-        out_keys[t] = arc_rows[a] + base;
-        out_nd[t] = nd;
-        out_src[t] = s - base;
-        out_aidx[t] = a;
-        ++t;
     }
     return t;
 }
@@ -290,8 +209,8 @@ i64 rk_filter_improve(
 
 /* Fused batch finish (EmitScratch._finish): one stream over the
  * unfiltered candidate columns doing BOTH the accounting histogram
- * (stamped distinct-key collection, ascending like rk_count_keys, hist
- * restored to zero) and the improvement filter + materialization of
+ * (stamped distinct-key collection sorted ascending, hist restored to
+ * zero) and the improvement filter + materialization of
  * rk_filter_improve.  Replaces two full passes with one; do_acct == 0
  * skips the histogram half (ngroups untouched).  Returns the kept
  * count and writes the distinct-group count through ngroups. */
@@ -580,46 +499,6 @@ i64 rk_core_emit_push(
             cand_w[t] = w;
             ++t;
         }
-    }
-    *messages = msg;
-    return t;
-}
-
-/* Serial-core pull expansion: stream every arc target-major through the
- * reverse CSR, testing the arc's source against the dense emitting
- * mask; same message/candidate semantics as rk_core_emit_push. */
-i64 rk_core_emit_pull(
-    const i64 *arc_rows, const i64 *indices, const double *weights,
-    i64 narcs,
-    const u8 *emitting, const double *effd, double delta,
-    const u8 *frozen, const double *dist,
-    i64 *messages,
-    i64 *cand_t, double *cand_d, i64 *cand_s, double *cand_w)
-{
-    i64 t = 0, msg = 0;
-    for (i64 a = 0; a < narcs; ++a) {
-        if (a + RK_PF_DIST < narcs)
-            RK_PREFETCH(&emitting[indices[a + RK_PF_DIST]]);
-        i64 s = indices[a];
-        if (!emitting[s])
-            continue;
-        double w = weights[a];
-        if (w > delta)
-            continue;
-        i64 r = arc_rows[a];
-        if (frozen[r])
-            continue;
-        ++msg;
-        double nd = effd[s] + w;
-        if (nd > delta)
-            continue;
-        if (!(nd < dist[r]))
-            continue;
-        cand_t[t] = r;
-        cand_d[t] = nd;
-        cand_s[t] = s;
-        cand_w[t] = w;
-        ++t;
     }
     *messages = msg;
     return t;

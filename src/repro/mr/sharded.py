@@ -55,9 +55,9 @@ On top of the candidate-volume reductions, three execution tiers:
   only the O(arcs) CSR pages page in and out.
 
 Bit-identical results are by construction, not luck: workers run the
-same :func:`~repro.mrimpl.growing_mr.apply_merged_candidates` /
-:func:`~repro.mrimpl.growing_mr.emit_frontier` kernels as the
-whole-graph array state, and the merge tie-break is the order-free
+same :func:`~repro.mrimpl.growing_mr.apply_merged_candidates` and
+:class:`~repro.mr.emit.EmitScratch` kernels as the whole-graph array
+state, and the merge tie-break is the order-free
 equivalent of the engine's stable-first rule: builders deduplicate
 edges, so a target receives at most one candidate per source and
 "earliest arrival" equals "smallest source id" — the winner is simply
@@ -134,7 +134,6 @@ _KERNEL_ENV_KEYS = (
     "REPRO_NATIVE_DISABLE",
     "REPRO_EMIT_THREADS",
     "REPRO_EMIT_MODE",
-    "REPRO_GROWING_KERNEL",
 )
 
 
@@ -198,8 +197,9 @@ class _Ownership:
     Both layouts keep ``localidx`` order-preserving (ascending global
     id ↔ ascending local row), which the merge relies on: converting
     ascending global group keys to local ids preserves ascending order,
-    so the scatter- and sort-merge paths pick identical first-maximum
-    groups and ``apply_merged_candidates`` sees its documented ordering.
+    so the merge reports the same first-maximum group as a sort over
+    global ids would, and ``apply_merged_candidates`` sees its
+    documented ordering.
     """
 
     __slots__ = (
@@ -478,7 +478,7 @@ class _ShardWorker:
 
     def reset(self, env: Optional[dict] = None):
         from repro.core.state import ClusterState
-        from repro.mr.kernels import CountScratch, ScatterScratch
+        from repro.mr.kernels import ScatterScratch
 
         if env is not None:
             # Sync the kernel-selection environment from the driver:
@@ -495,8 +495,9 @@ class _ShardWorker:
             #: Dense scatter buffers of the merge kernel, reused across
             #: rounds (sized to this shard's node range).
             self.scratch = ScatterScratch()
-            #: Dense histogram buffer of the merge's group accounting.
-            self.count_scratch = CountScratch()
+            #: Dense histogram of the merge's group accounting, kept
+            #: all-zero between rounds (the merge zeroes what it touched).
+            self.merge_hist = np.zeros(self.num_rows, dtype=np.int64)
             self.halo_best = np.full(len(self.halo), np.inf)
             # Frozen-replica ("ghost") state of halo nodes, filled by
             # freeze updates; immutable once set.
@@ -568,16 +569,9 @@ class _ShardWorker:
         the shard-sized scratch across rounds; the per-group counts
         come from one ``np.bincount`` (counting-sort histogram), which
         also yields the memory-model extremes.
-        ``REPRO_GROWING_KERNEL=sort`` selects the legacy sort-based
-        merge for the A/B benchmark and parity CI.
         """
-        from repro.mr.kernels import merge_kernel_name, scatter_min_rows
+        from repro.mr.kernels import scatter_min_rows
 
-        if merge_kernel_name() == "sort":
-            gkeys, winners, max_group, max_group_key = _min_by_target(
-                cand_keys, cand_values
-            )
-            return self.own.to_local(gkeys), winners, max_group, max_group_key
         local = self.own.to_local(cand_keys)
         ids, rows = scatter_min_rows(
             local,
@@ -589,8 +583,8 @@ class _ShardWorker:
         # allocation beyond the G-sized gather; the buffer keeps its
         # all-zero invariant between rounds).  The counts feed nothing
         # but the memory-model extremes; argmax over ascending distinct
-        # ids picks the same first-maximum group as the sort path.
-        hist = self.count_scratch.hist(self.num_rows)
+        # ids picks the same first-maximum group as a sort would.
+        hist = self.merge_hist
         if _native.use_native():
             _native.bincount_into(local, hist)
         else:
@@ -618,7 +612,6 @@ class _ShardWorker:
     ):
         from time import perf_counter
 
-        from repro.mr.kernels import merge_kernel_name
         from repro.mrimpl.growing_mr import apply_merged_candidates
 
         if fault == "kill":
@@ -697,7 +690,7 @@ class _ShardWorker:
         # block for the next merge — the same timing as shipped
         # candidates.
         if force and len(self.halo):
-            if merge_kernel_name() != "sort" and not rescale:
+            if not rescale:
                 # Fused fast path (Contract semantics): a ghost's
                 # candidate distance is just the arc weight, and ghost
                 # targets are locally owned — so one boolean sweep over
@@ -726,12 +719,11 @@ class _ShardWorker:
                     # already counted (and dropped from shipping).
                     pending_blocks.append((ghost_keys, ghost_values))
             else:
-                if rescale:
-                    r_eff = self.r_dist - rescale * (
-                        iteration - self.r_frozen_iter
-                    )
-                else:
-                    r_eff = np.zeros(len(self.halo))
+                # Contract2: a replica's effective distance shrinks by
+                # ``rescale`` per iteration elapsed since it froze.
+                r_eff = self.r_dist - rescale * (
+                    iteration - self.r_frozen_iter
+                )
                 emits = self.r_frozen & (r_eff < delta)
                 arc = emits[self.ext_halo_idx]
                 if arc.any():
@@ -741,14 +733,13 @@ class _ShardWorker:
                     ok = (w <= delta) & (nd <= delta)
                     hidx, w, nd = hidx[ok], w[ok], nd[ok]
                     ghost_rows = self.ext_rows[arc][ok]
-                    if merge_kernel_name() != "sort":
-                        # Rescaled (Contract2) fused path: improvement
-                        # pre-filter after the effective distances.
-                        imp = ~self.state.frozen[ghost_rows] & (
-                            nd < self.state.dist[ghost_rows]
-                        )
-                        hidx, w, nd = hidx[imp], w[imp], nd[imp]
-                        ghost_rows = ghost_rows[imp]
+                    # Improvement pre-filter after the effective
+                    # distances.
+                    imp = ~self.state.frozen[ghost_rows] & (
+                        nd < self.state.dist[ghost_rows]
+                    )
+                    hidx, w, nd = hidx[imp], w[imp], nd[imp]
+                    ghost_rows = ghost_rows[imp]
                     if len(ghost_rows):
                         ghost_values = np.column_stack(
                             (
@@ -811,31 +802,24 @@ class _ShardWorker:
         halves partition the active set, and the merge is order-free.
         Returns ``(emitted, outgoing, pending_blocks, sent_bytes)``.
         """
-        from repro.mr.kernels import merge_kernel_name
-
-        emit_fn = (
-            self._emit_legacy
-            if merge_kernel_name() == "sort"
-            else self._emit_fused
-        )
         if not self._async_on:
             sources = None if force else self.active
-            emitted, outgoing, pending = emit_fn(
+            emitted, outgoing, pending = self._emit_fused(
                 delta, force, rescale, iteration, sources
             )
             return emitted, outgoing, pending, 0
         if force:
-            emitted, outgoing, pending = emit_fn(
+            emitted, outgoing, pending = self._emit_fused(
                 delta, force, rescale, iteration, None
             )
             sent = self._ship_outgoing(outgoing)
             return emitted, [], pending, sent
         boundary = self.is_boundary_row[self.active]
-        e1, out1, pend1 = emit_fn(
+        e1, out1, pend1 = self._emit_fused(
             delta, force, rescale, iteration, self.active[boundary]
         )
         sent = self._ship_outgoing(out1)
-        e2, out2, pend2 = emit_fn(
+        e2, out2, pend2 = self._emit_fused(
             delta, force, rescale, iteration, self.active[~boundary]
         )
         if out2:
@@ -844,55 +828,8 @@ class _ShardWorker:
             )
         return e1 + e2, [], pend1 + pend2, sent
 
-    def _emit_legacy(self, delta, force, rescale, iteration, sources):
-        """The sort-oracle emission: emit_frontier + owner routing."""
-        from repro.mrimpl.growing_mr import emit_frontier
-
-        out_keys, out_values3, out_srcs = emit_frontier(
-            self.indptr,
-            self.indices,
-            self.weights,
-            center=self.state.center,
-            dist=self.state.dist,
-            dacc=self.state.dist_acc,
-            frozen=self.state.frozen,
-            changed=self.changed,
-            frozen_iter=self.state.frozen_iter,
-            delta=delta,
-            force=force,
-            rescale=rescale,
-            iteration=iteration,
-            with_sources=True,
-            sources=sources,
-        )
-        emitted = len(out_keys)
-        outgoing = []
-        pending_blocks = []
-        if emitted:
-            out_values = np.column_stack(
-                (
-                    out_values3,
-                    self.own.to_global(out_srcs).astype(np.float64),
-                )
-            )
-            owners = self.own.owner_of(out_keys)
-            local = owners == self.shard_id
-            pending_blocks.append((out_keys[local], out_values[local]))
-            # Cross-shard candidates from frozen sources are dropped at
-            # the source: every neighbouring shard regenerates them from
-            # its frozen replicas (the ghost pass), for free.
-            live_remote = ~local & ~self.state.frozen[out_srcs]
-            for dest in np.unique(owners[live_remote]):
-                mask = live_remote & (owners == dest)
-                keys, values = self._combine_outgoing(
-                    out_keys[mask], out_values[mask]
-                )
-                if len(keys):
-                    outgoing.append((int(dest), keys, values))
-        return emitted, outgoing, pending_blocks
-
     def _emit_fused(self, delta, force, rescale, iteration, sources):
-        """Scratch-buffered fused emission (scatter kernels).
+        """Scratch-buffered fused emission.
 
         Runs the direction-optimized expansion of
         :class:`~repro.mr.emit.EmitScratch` over the shard's rows, then
@@ -1659,12 +1596,10 @@ class ShardedGrowingState:
     merged + produced candidates per step.
 
     The memory-model checks and ``simulated_time`` are measured against
-    the **resident merge the workers actually perform** — under the
-    default fused pipeline that batch excludes locally-filtered
-    unadoptable candidates, so these two quantities are smaller than
-    under ``REPRO_GROWING_KERNEL=sort`` (which merges the unfiltered
-    batch) and are not comparable across kernel modes or to the
-    engine-managed backends.  This extends the existing convention
+    the **resident merge the workers actually perform** — that batch
+    excludes locally-filtered unadoptable candidates, so these two
+    quantities are smaller than an unfiltered merge would report and
+    are not comparable to the engine-managed backends.  This extends the existing convention
     (this backend's critical path was already the owner-compute model,
     reported but never cross-compared — see ``docs/mr_model.md`` §3);
     results and the rounds/messages/updates counters remain

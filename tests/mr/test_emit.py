@@ -2,10 +2,10 @@
 
 The contract under test: for any state, :meth:`EmitScratch.emit` must
 report the *unfiltered* emission (count and per-target histogram) of the
-legacy ``emit_frontier`` oracle while materializing exactly the
-candidates that could be adopted — and this must hold in every
-direction (push / pull / auto), across reused buffers, and across the
-frozen-emission cache's append/prune/invalidate transitions.
+plain array emitter :func:`emit_frontier` below while materializing
+exactly the candidates that could be adopted — and this must hold in
+every direction (push / pull / auto), across reused buffers, and across
+the frozen-emission cache's append/prune/invalidate transitions.
 """
 
 import os
@@ -17,8 +17,8 @@ from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
 from repro.mr.emit import EMIT_ENV, EmitScratch, emit_mode
-from repro.mr.kernels import CountScratch, counting_group_keys
-from repro.mrimpl.growing_mr import NO_CENTER, emit_frontier
+from repro.mrimpl.growing_mr import NO_CENTER
+from repro.util import expand_ranges
 
 
 @pytest.fixture(autouse=True)
@@ -29,6 +29,70 @@ def _restore_emit_mode():
         os.environ.pop(EMIT_ENV, None)
     else:
         os.environ[EMIT_ENV] = before
+
+
+def emit_frontier(
+    indptr,
+    indices,
+    weights,
+    *,
+    center,
+    dist,
+    dacc,
+    frozen,
+    changed,
+    frozen_iter,
+    delta,
+    force,
+    rescale=0.0,
+    iteration=0,
+    sources=None,
+):
+    """Expand the new-contribution frontier through CSR rows (the oracle).
+
+    The straightforward array form of one growing step's emission, and
+    the emitter the array backends ran before the fused pipeline.
+    Candidates appear in ascending source order, each source's arcs in
+    CSR order — the arrival order the merge tie-break depends on.
+
+    ``sources``, when given, is the active frontier (ascending ids whose
+    state changed last merge); ``None`` scans every node, as forced
+    rounds require.  Returns ``(keys, values)`` with one
+    ``(nd, center, dacc)`` row per candidate.
+    """
+    if sources is None:
+        src = np.flatnonzero((center != NO_CENTER) & (changed | force))
+    else:
+        # Active-frontier nodes are adopted, hence assigned and (at
+        # adoption time) unfrozen; a later Contract may have frozen
+        # some — drop those, exactly as the mask scan would.
+        src = sources[~frozen[sources]] if len(sources) else sources
+    if len(src):
+        eff = dist[src]
+        fr = frozen[src]
+        if rescale:
+            eff[fr] = eff[fr] - rescale * (iteration - frozen_iter[src][fr])
+        else:
+            eff[fr] = 0.0
+        keep = eff < delta
+        src = src[keep]
+        eff = eff[keep]
+    if not len(src):
+        return np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.float64)
+    starts = indptr[src]
+    counts = indptr[src + 1] - starts
+    arc_idx = expand_ranges(starts, counts)
+    tgts = indices[arc_idx]
+    w = weights[arc_idx]
+    src_rep = np.repeat(src, counts)
+    nd_out = np.repeat(eff, counts) + w
+    ok = (w <= delta) & (nd_out <= delta)
+    keep_src = src_rep[ok]
+    cand_values = np.empty((len(keep_src), 3), dtype=np.float64)
+    cand_values[:, 0] = nd_out[ok]
+    cand_values[:, 1] = center[keep_src]
+    cand_values[:, 2] = dacc[keep_src] + w[ok]
+    return tgts[ok], cand_values
 
 
 def small_graph(seed=7):
@@ -47,7 +111,7 @@ def random_state(graph, rng, frozen_frac=0.3, assigned_frac=0.8):
     return center, dist, frozen, dacc, changed, frozen_iter
 
 
-def legacy_reference(graph, state, delta, force, sources=None, rescale=0.0, iteration=0):
+def oracle_reference(graph, state, delta, force, sources=None, rescale=0.0, iteration=0):
     """The oracle: full emission, then the merge-time adoptability filter."""
     center, dist, frozen, dacc, changed, frozen_iter = state
     keys, values = emit_frontier(
@@ -76,7 +140,7 @@ def sorted_rows(keys, nd, ctr, src):
 
 
 def assert_batch_matches_oracle(batch, graph, state, delta, force, sources=None):
-    keys, values, imp = legacy_reference(graph, state, delta, force, sources)
+    keys, values, imp = oracle_reference(graph, state, delta, force, sources)
     assert batch.emitted == len(keys)
     # Full-multiset histogram.
     dense = np.bincount(keys, minlength=graph.num_nodes)
@@ -287,21 +351,3 @@ class TestDirectionPlanning:
         assert scratch.plan_direction(graph.num_arcs, "push") == "push"
         assert scratch.plan_direction(0, "pull") == "pull"
 
-
-class TestCountScratch:
-    def test_matches_plain_counting(self):
-        rng = np.random.default_rng(41)
-        scratch = CountScratch()
-        for _ in range(10):
-            bound = int(rng.integers(5, 200))
-            keys = rng.integers(0, bound, size=rng.integers(0, 500)).astype(np.int64)
-            plain = counting_group_keys(keys, bound)
-            reused = counting_group_keys(keys, bound, scratch=scratch)
-            for a, b in zip(plain, reused):
-                np.testing.assert_array_equal(a, b)
-
-    def test_histogram_invariant_restored(self):
-        scratch = CountScratch()
-        keys = np.array([3, 3, 7, 1], dtype=np.int64)
-        counting_group_keys(keys, 10, scratch=scratch)
-        assert not scratch.hist(10).any()

@@ -1,13 +1,12 @@
-"""Scatter-min kernels vs the sort-based oracle.
+"""Scatter-min kernel vs the sort-based oracle.
 
-The kernels in :mod:`repro.mr.kernels` must reproduce the tie-break of
-:func:`repro.mr.batch.group_min_first` — smallest leading columns, then
-earliest arrival — *bit for bit*, on every candidate-set shape the
+:func:`repro.mr.kernels.scatter_min_rows` must reproduce the tie-break
+of :func:`repro.mr.batch.group_min_first` — smallest leading columns,
+then earliest arrival — *bit for bit*, on every candidate-set shape the
 growing step can produce: equal distances, equal ``(distance, center)``
-pairs, duplicate targets, empty batches.  The counting-sort shuffle must
-likewise reproduce the stable-argsort grouping exactly, and the engine
-must produce identical round output and accounting whichever path it
-takes.
+pairs, duplicate targets, empty batches.  The engine's stable-argsort
+shuffle must group every key array exactly, and the engine must produce
+identical round output and accounting whichever executor reduces.
 """
 
 from functools import partial
@@ -17,16 +16,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mr.batch import group_min_first
-from repro.mr.engine import MREngine, _group_batch, _key_bound
+from repro.mr.engine import MREngine, _group_batch
 from repro.mr.executor import SerialExecutor, VectorExecutor
-from repro.mr.kernels import (
-    ScatterScratch,
-    counting_group_keys,
-    merge_candidates,
-    scatter_group_min_first,
-    scatter_min_rows,
-)
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.model import MRSpec
+
+
+def scatter_group_min_first(keys, offsets, values, sort_cols=None):
+    """:func:`group_min_first`'s contract, computed by the scatter kernel.
+
+    Each group's index is its scatter id (keys may be far too large for a
+    dense domain); rows are in shuffle order, so arrival order within a
+    group is input order, as the oracle assumes.
+    """
+    num_groups = len(keys)
+    if num_groups == 0:
+        return keys, values, np.zeros(0, dtype=np.int64)
+    d = values.shape[1] if sort_cols is None else int(sort_cols)
+    ids = np.repeat(np.arange(num_groups, dtype=np.int64), np.diff(offsets))
+    cols = tuple(np.ascontiguousarray(values[:, c]) for c in range(d))
+    _, rows = scatter_min_rows(ids, cols, domain=num_groups)
+    return keys, values[rows], np.ones(num_groups, dtype=np.int64)
 
 
 def grouped(keys, values):
@@ -60,7 +70,7 @@ def random_batch(rng, size, num_keys, distinct_values):
 
 
 class TestScatterGroupMinFirst:
-    """The grouped (reduceat) kernel against the lexsort oracle."""
+    """The scatter kernel on grouped batches against the lexsort oracle."""
 
     @pytest.mark.parametrize("sort_cols", [None, 1, 2, 3])
     def test_random_collision_heavy_batches(self, sort_cols):
@@ -197,7 +207,22 @@ class TestScatterMinRows:
 
 
 class TestCountingShuffle:
-    """bincount+prefix-sum grouping vs the stable argsort shuffle."""
+    """The engine's stable-argsort shuffle vs a per-key reference grouping."""
+
+    def reference(self, keys, values):
+        """Distinct keys ascending, prefix offsets, rows stable per key."""
+        uniq, counts = np.unique(keys, return_counts=True)
+        offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        rows = [values[keys == k] for k in uniq]
+        stacked = np.concatenate(rows) if rows else values[:0]
+        return uniq, offsets, stacked
+
+    def assert_groups_like_reference(self, keys, values):
+        gk, off, gv = _group_batch(keys, values)
+        ref_k, ref_off, ref_v = self.reference(keys, values)
+        np.testing.assert_array_equal(gk, ref_k)
+        np.testing.assert_array_equal(off, ref_off)
+        np.testing.assert_array_equal(gv, ref_v)
 
     @pytest.mark.parametrize(
         "keys",
@@ -212,16 +237,14 @@ class TestCountingShuffle:
     def test_adversarial_key_arrays(self, keys):
         values = np.arange(len(keys), dtype=np.float64).reshape(-1, 1)
         if not len(keys):
-            gk, counts, off = counting_group_keys(keys, 1)
-            assert len(gk) == 0 and len(counts) == 0
-            np.testing.assert_array_equal(off, [0])
+            # The engine never shuffles an empty batch; the round still
+            # counts, with no output and no messages.
+            eng = MREngine(MRSpec(10**9, 10**6, num_workers=2))
+            out_k, out_v = eng.round_batch(keys, values, group_min_first)
+            assert len(out_k) == 0 and out_v.shape == (0, 1)
+            assert eng.counters.rounds == 1 and eng.counters.messages == 0
             return
-        bound = int(keys.max()) + 1
-        gk, counts, off = counting_group_keys(keys, bound)
-        ref_k, ref_off, _ = _group_batch(keys, values)
-        np.testing.assert_array_equal(gk, ref_k)
-        np.testing.assert_array_equal(off, ref_off)
-        np.testing.assert_array_equal(counts, np.diff(ref_off))
+        self.assert_groups_like_reference(keys, values)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -233,36 +256,11 @@ class TestCountingShuffle:
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, domain, size=size).astype(np.int64)
         values = rng.random((size, 2))
-        gk, counts, off = counting_group_keys(keys, domain)
-        ref_k, ref_off, _ = _group_batch(keys, values)
-        np.testing.assert_array_equal(gk, ref_k)
-        np.testing.assert_array_equal(off, ref_off)
-
-    def test_key_bound_detection(self):
-        dense = np.array([0, 5, 3], dtype=np.int64)
-        assert _key_bound(dense) == 6
-        assert _key_bound(dense, key_bound=100) == 100
-        # A caller-supplied bound below the observed max is widened.
-        assert _key_bound(np.array([50], dtype=np.int64), key_bound=10) == 51
-        # Negative or far-spread keys fall back to the argsort shuffle.
-        assert _key_bound(np.array([-1, 3], dtype=np.int64)) is None
-        assert _key_bound(np.array([0, 2**40], dtype=np.int64)) is None
-        assert _key_bound(np.empty(0, dtype=np.int64)) is None
-        # The hint is a domain cap, not a mandate: a skinny batch in a
-        # huge domain still sorts rather than paying the O(domain)
-        # histogram.
-        assert _key_bound(np.array([3], dtype=np.int64), key_bound=10**7) is None
-
-    def test_offsets_optional(self):
-        keys = np.array([4, 1, 4, 0], dtype=np.int64)
-        gk, counts, offsets = counting_group_keys(keys, 5, with_offsets=False)
-        assert offsets is None
-        np.testing.assert_array_equal(gk, [0, 1, 4])
-        np.testing.assert_array_equal(counts, [1, 1, 2])
+        self.assert_groups_like_reference(keys, values)
 
 
 class TestEngineScatterPath:
-    """round_batch: identical output/accounting on every shuffle path."""
+    """round_batch: identical output/accounting on every reduce path."""
 
     def engine(self, executor, workers=3):
         return MREngine(
@@ -287,27 +285,30 @@ class TestEngineScatterPath:
         ref_out = ref.round_batch(
             keys, values, partial(group_min_first, sort_cols=2)
         )
-        for key_bound in (None, 37, 1000):
-            eng = self.engine(VectorExecutor())
-            out = eng.round_batch(
-                keys, values, merge_candidates, key_bound=key_bound
-            )
-            np.testing.assert_array_equal(out[0], ref_out[0])
-            np.testing.assert_array_equal(out[1], ref_out[1])
-            assert eng.counters.rounds == ref.counters.rounds
-            assert eng.counters.messages == ref.counters.messages
-            assert eng.simulated_time == ref.simulated_time
+        eng = self.engine(VectorExecutor())
+        out = eng.round_batch(
+            keys, values, partial(scatter_group_min_first, sort_cols=2)
+        )
+        np.testing.assert_array_equal(out[0], ref_out[0])
+        np.testing.assert_array_equal(out[1], ref_out[1])
+        assert eng.counters.rounds == ref.counters.rounds
+        assert eng.counters.messages == ref.counters.messages
+        assert eng.simulated_time == ref.simulated_time
 
     def test_serial_engine_takes_in_process_scatter_path(self):
         # No run_batch on SerialExecutor: the engine reduces in-process,
-        # which qualifies for the ungrouped fast path.
+        # and must match the vector executor's output and accounting.
         keys, values = self.payload(seed=3)
-        ref = self.engine(SerialExecutor())
+        ref = self.engine(VectorExecutor())
         ref_out = ref.round_batch(keys, values, partial(group_min_first, sort_cols=2))
         eng = self.engine(SerialExecutor())
-        out = eng.round_batch(keys, values, merge_candidates)
+        assert not eng.supports_batch
+        out = eng.round_batch(
+            keys, values, partial(scatter_group_min_first, sort_cols=2)
+        )
         np.testing.assert_array_equal(out[0], ref_out[0])
         np.testing.assert_array_equal(out[1], ref_out[1])
+        assert eng.counters.messages == ref.counters.messages
         assert eng.simulated_time == ref.simulated_time
 
     def test_unbounded_keys_fall_back_to_argsort_shuffle(self):
@@ -320,14 +321,17 @@ class TestEngineScatterPath:
             )
         )
         eng = self.engine(VectorExecutor())
-        out_k, out_v = eng.round_batch(keys, values, merge_candidates)
+        out_k, out_v = eng.round_batch(
+            keys, values, partial(scatter_group_min_first, sort_cols=2)
+        )
         ref_k, ref_v = self.engine(VectorExecutor()).round_batch(
             keys, values, partial(group_min_first, sort_cols=2)
         )
+        np.testing.assert_array_equal(out_k, [0, 7, 2**40])
         np.testing.assert_array_equal(out_k, ref_k)
         np.testing.assert_array_equal(out_v, ref_v)
 
-    def test_memory_limit_still_enforced_on_counting_path(self):
+    def test_memory_limit_enforced_on_scatter_reducer(self):
         from repro.errors import MemoryLimitExceeded
 
         keys = np.zeros(100, dtype=np.int64)  # one huge group
@@ -336,4 +340,6 @@ class TestEngineScatterPath:
             MRSpec(10**9, 16, num_workers=2), executor=VectorExecutor()
         )
         with pytest.raises(MemoryLimitExceeded):
-            eng.round_batch(keys, values, merge_candidates, key_bound=10)
+            eng.round_batch(
+                keys, values, partial(scatter_group_min_first, sort_cols=2)
+            )

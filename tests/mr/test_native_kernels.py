@@ -28,13 +28,7 @@ from repro.generators import rmat
 from repro.graph.ops import largest_connected_component
 from repro.mr import native
 from repro.mr.emit import EMIT_ENV, EmitScratch
-from repro.mr.kernels import (
-    KERNEL_ENV,
-    CountScratch,
-    ScatterScratch,
-    counting_group_keys,
-    scatter_min_rows,
-)
+from repro.mr.kernels import ScatterScratch, scatter_min_rows
 from repro.mr.partitioner import hash_partition_array
 from repro.mrimpl.cluster2_mr import mr_cluster2
 from repro.mrimpl.cluster_mr import mr_cluster
@@ -63,7 +57,6 @@ def impl_env():
         native.NATIVE_DISABLE_ENV,
         native.EMIT_THREADS_ENV,
         EMIT_ENV,
-        KERNEL_ENV,
     )
     before = {k: os.environ.get(k) for k in keys}
     yield
@@ -168,36 +161,11 @@ class TestScatterMinRows:
 
 @needs_native
 class TestCountingKernels:
-    def test_count_keys_matches_unique(self):
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            n = int(rng.integers(0, 400))
-            bound = int(rng.integers(1, 80))
-            keys = rng.integers(0, bound, n).astype(np.int64)
-            hist = np.zeros(bound, dtype=np.int64)
-            gk = np.empty(max(n, 1), dtype=np.int64)
-            gc = np.empty(max(n, 1), dtype=np.int64)
-            g = native.count_keys(keys, hist, gk, gc)
-            ref_k, ref_c = np.unique(keys, return_counts=True)
-            np.testing.assert_array_equal(gk[:g], ref_k)
-            np.testing.assert_array_equal(gc[:g], ref_c)
-            assert not hist.any(), "hist must be restored to all-zero"
-
     def test_bincount_into_accumulates(self):
         keys = np.array([0, 2, 2, 5], dtype=np.int64)
         hist = np.ones(6, dtype=np.int64)
         native.bincount_into(keys, hist)
         np.testing.assert_array_equal(hist, [2, 1, 3, 1, 1, 2])
-
-    def test_counting_group_keys_dispatch_parity(self, impl_env):
-        rng = np.random.default_rng(8)
-        keys = rng.integers(0, 50, 300).astype(np.int64)
-        os.environ[native.KERNEL_IMPL_ENV] = "py"
-        ref = counting_group_keys(keys, 50, scratch=CountScratch())
-        os.environ[native.KERNEL_IMPL_ENV] = "native"
-        got = counting_group_keys(keys, 50, scratch=CountScratch())
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
 
     def test_partition_loads_matches_reference(self):
         rng = np.random.default_rng(4)
@@ -244,36 +212,10 @@ class TestThreadedEmit:
         )
         return [b[:cnt].copy() for b in banks]
 
-    def _pull_once(self, graph, threads):
-        narcs = graph.num_arcs
-        mask = np.zeros(graph.num_nodes, dtype=bool)
-        mask[:: 3] = True
-        eff = np.zeros(graph.num_nodes)
-        arc_rows = graph.arc_sources_view()
-        banks = [
-            np.empty(narcs, dtype=np.int64),
-            np.empty(narcs),
-            np.empty(narcs, dtype=np.int64),
-            np.empty(narcs, dtype=np.int64),
-        ]
-        cnt = native.emit_pull_into(
-            arc_rows, graph.indices, graph.weights, mask, eff,
-            float(np.median(graph.weights)), 0,
-            banks[0], banks[1], banks[2], banks[3], threads,
-        )
-        return [b[:cnt].copy() for b in banks]
-
     @pytest.mark.parametrize("threads", [2, 3, 7])
     def test_push_bit_identical_across_threads(self, graph, threads):
         ref = self._push_once(graph, 1)
         got = self._push_once(graph, threads)
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("threads", [2, 3, 7])
-    def test_pull_bit_identical_across_threads(self, graph, threads):
-        ref = self._pull_once(graph, 1)
-        got = self._pull_once(graph, threads)
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
 
